@@ -107,7 +107,9 @@ fn main() {
     // Interpreter overhead: the interpreted MSI-small golden-candidate
     // verification against the hand-written skeleton on the identical state
     // space (332 states / 977 transitions, proven bit-identical by the
-    // differential suite).
+    // differential suite). Both sides run on the same driver —
+    // `Checker::run_shared` at one thread, as `verify_spec_golden` does —
+    // so the ratio is interpretation cost alone.
     let msi_spec = ProtocolSpec::from_path(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../specs/msi_small.toml"

@@ -22,10 +22,11 @@
 //! parallel checker with `N` workers; the printed states/transitions are
 //! guaranteed identical to the serial run (CI diffs the two).
 //!
-//! `--one-shot` verifies through the original one-shot drivers
-//! (`Checker::run_shared`) instead of the default session-backed
-//! `Checker::run` path; the outputs are guaranteed identical, and the CI
-//! session-smoke step diffs them.
+//! `--one-shot` verifies the golden-model and spec rows on the reference
+//! serial driver (`Checker::run_with`) instead of a check session; the
+//! outputs are guaranteed identical, and the CI session-smoke step diffs
+//! them. The reference driver is always serial, so this mode ignores
+//! `--check-threads` for those rows (the skeleton rows still honor it).
 //!
 //! `--dot` additionally writes the full explored state graph of the 2-cache
 //! VI protocol to `vi_2cache.dot` (small enough to render with Graphviz).
@@ -38,16 +39,16 @@ use verc3_bench::{
     parse_check_threads, sigint, spec_golden_resolver, spec_verification_deviations, verify,
     verify_one_shot, verify_skeleton_golden, verify_spec_golden,
 };
-use verc3_mck::{Checker, CheckerOptions, Verdict};
+use verc3_mck::{Checker, CheckerOptions, NoHoles, Verdict};
 use verc3_protocols::mesi::{MesiConfig, MesiModel};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 use verc3_protocols::vi::{ViConfig, ViModel};
 use verc3_spec::ProtocolSpec;
 
 /// Golden `(states, transitions)` for every built-in row, in print order.
-/// Measured once on the serial session-backed checker; the parallel and
-/// one-shot paths are count-identical by construction, so one table gates
-/// all of them.
+/// Measured once on the serial session-backed checker; the parallel path
+/// and the reference driver are count-identical by construction, so one
+/// table gates all of them.
 const GOLDEN_ROWS: &[(&str, usize, usize)] = &[
     ("MSI golden (2 caches)", 87, 176),
     ("MSI golden (3 caches)", 332, 977),
@@ -105,15 +106,7 @@ fn main() {
                 }
             };
             let (v, s, t) = if one_shot {
-                let resolver = spec_golden_resolver(&spec);
-                let model = spec.model();
-                let out = Checker::new(CheckerOptions::default().threads(threads))
-                    .run_shared(&model, &resolver);
-                (
-                    out.verdict(),
-                    out.stats().states_visited,
-                    out.stats().transitions,
-                )
+                verify_one_shot(&spec.model(), &mut spec_golden_resolver(&spec))
             } else {
                 verify_spec_golden(&spec, threads)
             };
@@ -133,7 +126,7 @@ fn main() {
         one_shot: bool,
     ) -> (Verdict, usize, usize) {
         if one_shot {
-            verify_one_shot(model, threads)
+            verify_one_shot(model, &mut NoHoles)
         } else {
             verify(model, threads)
         }

@@ -8,11 +8,12 @@
 //!     [--deadline-secs N] [--state-budget N]
 //! ```
 //!
-//! By default every dispatch goes through per-worker check sessions
-//! (incremental prefix re-verification); `--one-shot` restarts the checker
-//! per candidate — the pre-session baseline. Dispatch counts, patterns, and
-//! solutions are identical either way; only the expansion work and wall
-//! time move (the per-row reuse summary quantifies it).
+//! By default every worker keeps its check session across candidates
+//! (incremental prefix re-verification); `--one-shot` checks each candidate
+//! on a fresh session, which never resumes — the per-candidate-restart
+//! baseline. Dispatch counts, patterns, and solutions are identical either
+//! way; only the expansion work and wall time move (the per-row reuse
+//! summary quantifies it).
 //!
 //! `--check-threads N` parallelizes every model-checker dispatch inside
 //! synthesis with `N` workers (orthogonal to the table's cross-candidate
@@ -88,9 +89,14 @@ fn main() {
     let xl = has("--xl");
     let n5 = has("--n5");
     let classify = has("--classify");
-    let samples: usize = flag_value("--samples")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+    let samples: usize = match args.iter().position(|a| a == "--samples") {
+        None => 200,
+        Some(i) => args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
+            .expect("--samples requires a positive integer argument"),
+    };
     let check_threads = parse_check_threads(&args);
     let reuse_sessions = !has("--one-shot");
 
@@ -418,7 +424,7 @@ fn main() {
             let s = report.stats();
             println!(
                 "  {label}: {} states expanded live, {} reused from checkpoints \
-                 ({:.1}% of the one-shot work avoided)",
+                 ({:.1}% of the per-candidate-restart work avoided)",
                 s.check_states_expanded,
                 s.check_states_reused,
                 s.check_reuse_rate() * 100.0,

@@ -17,7 +17,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verc3_core::{Enumeration, PatternMode, SynthOptions, SynthReport, Synthesizer};
-use verc3_mck::{Checker, CheckerOptions, FixedResolver, MckError, TransitionSystem, Verdict};
+use verc3_mck::{
+    Checker, CheckerOptions, FixedResolver, HoleResolver, MckError, Outcome, TransitionSystem,
+    Verdict,
+};
 use verc3_protocols::msi::{MsiConfig, MsiModel};
 use verc3_spec::ProtocolSpec;
 
@@ -399,9 +402,9 @@ pub fn run_synthesis_row(
 }
 
 /// [`run_synthesis_row`] with explicit control over session reuse
-/// (`reuse_sessions = false` restarts the checker per candidate — the
-/// pre-session baseline the `incremental_check` bench and the
-/// `--one-shot` harness flags measure against).
+/// (`reuse_sessions = false` checks every candidate on a fresh session —
+/// the per-candidate-restart baseline the `incremental_check` bench and
+/// `table1 --one-shot` measure against).
 pub fn run_synthesis_row_with(
     label: &str,
     config: MsiConfig,
@@ -551,7 +554,7 @@ pub fn estimate_naive_row(
         for (name, arity) in &space {
             resolver.assign(name.clone(), rng.gen_range(0..*arity));
         }
-        let outcome = checker.run_with(&model, &mut resolver);
+        let outcome = checker.run_shared(&model, &resolver);
         if outcome.verdict() == Verdict::Success {
             solutions += 1;
         }
@@ -586,14 +589,9 @@ pub fn parse_check_threads(args: &[String]) -> usize {
     }
 }
 
-/// Verifies a complete model with the given checker thread count and
-/// reports `(verdict, states, transitions)`. The counts are
-/// thread-count-independent by the parallel checker's equivalence
-/// guarantee — which is exactly what the CI smoke step diffs. Runs through
-/// the session-backed `Checker::run` path; see [`verify_one_shot`] for the
-/// original one-shot drivers.
-pub fn verify<M: TransitionSystem>(model: &M, threads: usize) -> (Verdict, usize, usize) {
-    let out = Checker::new(CheckerOptions::default().threads(threads)).run(model);
+/// The `(verdict, states, transitions)` row every verification helper
+/// reports.
+fn row_counts<S>(out: &Outcome<S>) -> (Verdict, usize, usize) {
     (
         out.verdict(),
         out.stats().states_visited,
@@ -601,17 +599,26 @@ pub fn verify<M: TransitionSystem>(model: &M, threads: usize) -> (Verdict, usize
     )
 }
 
-/// [`verify`] through the original one-shot serial/parallel drivers
-/// (`Checker::run_shared`), bypassing the session path — the independent
-/// oracle the CI session-smoke step diffs `fig3_check --one-shot` against.
-pub fn verify_one_shot<M: TransitionSystem>(model: &M, threads: usize) -> (Verdict, usize, usize) {
-    let out = Checker::new(CheckerOptions::default().threads(threads))
-        .run_shared(model, &verc3_mck::NoHoles);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
-    )
+/// Verifies a complete model with the given checker thread count and
+/// reports `(verdict, states, transitions)`. The counts are
+/// thread-count-independent by the parallel checker's equivalence
+/// guarantee — which is exactly what the CI smoke step diffs. Runs through
+/// a check session (`Checker::run`); see [`verify_one_shot`] for the
+/// reference serial driver.
+pub fn verify<M: TransitionSystem>(model: &M, threads: usize) -> (Verdict, usize, usize) {
+    row_counts(&Checker::new(CheckerOptions::default().threads(threads)).run(model))
+}
+
+/// Verifies `model` under `resolver` on the **reference** serial driver
+/// (`Checker::run_with`) and reports `(verdict, states, transitions)` —
+/// the independent oracle the CI session-smoke step diffs
+/// `fig3_check --one-shot` against. Always serial: there is no thread
+/// count to pass.
+pub fn verify_one_shot<M: TransitionSystem>(
+    model: &M,
+    resolver: &mut dyn HoleResolver,
+) -> (Verdict, usize, usize) {
+    row_counts(&Checker::new(CheckerOptions::default()).run_with(model, resolver))
 }
 
 /// Verifies an MSI *skeleton* under the golden candidate — every hole
@@ -645,12 +652,8 @@ pub fn verify_skeleton_golden(config: MsiConfig, threads: usize) -> (Verdict, us
     }
 
     let model = MsiModel::new(config);
-    let out =
-        Checker::new(CheckerOptions::default().threads(threads)).run_shared(&model, &resolver);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
+    row_counts(
+        &Checker::new(CheckerOptions::default().threads(threads)).run_shared(&model, &resolver),
     )
 }
 
@@ -672,17 +675,15 @@ pub fn spec_golden_resolver(spec: &ProtocolSpec) -> FixedResolver {
 }
 
 /// Verifies a declarative spec (`specs/*.toml`) under its committed golden
-/// assignment and reports `(verdict, states, transitions)` — the spec
-/// counterpart of [`verify_skeleton_golden`].
+/// assignment with the given checker thread count and reports
+/// `(verdict, states, transitions)` — the spec counterpart of
+/// [`verify_skeleton_golden`]. Pass [`spec_golden_resolver`] and
+/// `spec.model()` to [`verify_one_shot`] for the reference serial driver.
 pub fn verify_spec_golden(spec: &ProtocolSpec, threads: usize) -> (Verdict, usize, usize) {
-    let mut resolver = spec_golden_resolver(spec);
-    let model = spec.model();
-    let out =
-        Checker::new(CheckerOptions::default().threads(threads)).run_with(&model, &mut resolver);
-    (
-        out.verdict(),
-        out.stats().states_visited,
-        out.stats().transitions,
+    let resolver = spec_golden_resolver(spec);
+    row_counts(
+        &Checker::new(CheckerOptions::default().threads(threads))
+            .run_shared(&spec.model(), &resolver),
     )
 }
 

@@ -33,7 +33,7 @@ use crate::pattern::{PatternMode, PatternSink, PatternTable, Propagator, SparseP
 use crate::report::{
     GenStats, Quarantined, RunRecord, Solution, StopReason, SynthReport, SynthStats,
 };
-use crate::resolver::{CandidateResolver, DiscoveryDefault, NameCache, SharedCandidateResolver};
+use crate::resolver::{DiscoveryDefault, SharedCandidateResolver};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -318,18 +318,20 @@ impl SynthOptions {
         self
     }
 
-    /// Dispatches candidates through per-worker [`CheckSession`]s (the
-    /// default) instead of one-shot checker runs.
+    /// Whether a synthesis worker keeps its [`CheckSession`] across
+    /// candidates (the default) or checks every candidate on a fresh
+    /// session, one that never resumes.
     ///
-    /// Each synthesis worker holds one long-lived session per generation;
-    /// because the candidate odometer varies the latest-discovered (deepest
-    /// consulted) holes fastest, consecutive candidates share a deep BFS
-    /// prefix and the session resumes from the deepest unchanged
-    /// checkpoint. Every individual evaluation stays bit-identical to its
-    /// one-shot counterpart (verdict, statistics, failure attribution), so
-    /// the run log, pattern table, evaluated counts, and solution set are
-    /// unchanged — only [`SynthStats::check_states_reused`] and wall time
-    /// move. Disable to measure the per-candidate-restart baseline.
+    /// Every candidate is checked through a session either way. A kept
+    /// session lives for one generation; because the candidate odometer
+    /// varies the latest-discovered (deepest consulted) holes fastest,
+    /// consecutive candidates share a deep BFS prefix and the session
+    /// resumes from the deepest unchanged checkpoint. Every individual
+    /// evaluation stays bit-identical to a fresh session's check (verdict,
+    /// statistics, failure attribution), so the run log, pattern table,
+    /// evaluated counts, and solution set are unchanged — only
+    /// [`SynthStats::check_states_reused`] and wall time move. Disable to
+    /// measure the per-candidate-restart baseline.
     ///
     /// [`SynthStats::check_states_reused`]: crate::report::SynthStats::check_states_reused
     pub fn reuse_sessions(mut self, reuse: bool) -> Self {
@@ -1191,17 +1193,18 @@ impl GenShared {
     }
 }
 
-/// One worker: opens its per-generation [`CheckSession`] (unless
-/// [`SynthOptions::reuse_sessions`] is off) and runs the chunk-claiming
-/// loop. Session reuse counters are banked per candidate (see
-/// [`evaluate_candidate`]), so interrupted runs and journal records stay
-/// accurate.
-fn worker<M: TransitionSystem>(model: &M, shared: &Shared<'_>, gen: &GenShared) {
-    let mut session = shared
-        .options
-        .reuse_sessions
-        .then(|| shared.checker.session(model));
-    worker_loop(model, shared, gen, &mut session);
+/// The session the next candidate is checked in: the worker's long-lived
+/// one, or — with [`SynthOptions::reuse_sessions`] off — a fresh session,
+/// which never resumes.
+fn next_session<'s, 'm, M: TransitionSystem>(
+    model: &'m M,
+    shared: &Shared<'_>,
+    session: &'s mut CheckSession<'m, M>,
+) -> &'s mut CheckSession<'m, M> {
+    if !shared.options.reuse_sessions {
+        *session = shared.checker.session(model);
+    }
+    session
 }
 
 /// A worker's thread-local pattern store. The lexicographic walker probes a
@@ -1227,15 +1230,13 @@ impl LocalStore {
     }
 }
 
-/// One worker's chunk-claiming evaluation loop.
-fn worker_loop<'m, M: TransitionSystem>(
-    model: &'m M,
-    shared: &Shared<'_>,
-    gen: &GenShared,
-    session: &mut Option<CheckSession<'m, M>>,
-) {
+/// One worker's chunk-claiming evaluation loop over its per-generation
+/// [`CheckSession`]. Session reuse counters are banked per candidate (see
+/// [`evaluate_candidate`]), so interrupted runs and journal records stay
+/// accurate.
+fn worker<M: TransitionSystem>(model: &M, shared: &Shared<'_>, gen: &GenShared) {
     let opts = shared.options;
-    let mut cache = NameCache::default();
+    let session = &mut shared.checker.session(model);
     let mut store = if opts.pruning && opts.enumeration == Enumeration::Guided {
         LocalStore::Guided(Propagator::new())
     } else {
@@ -1293,11 +1294,11 @@ fn worker_loop<'m, M: TransitionSystem>(
 
         let completed = match &mut store {
             LocalStore::Lex { table, scratch } => run_chunk_lex(
-                model, shared, gen, lo, hi, table, scratch, session, &mut cache, &mut draft,
+                model, shared, gen, lo, hi, table, scratch, session, &mut draft,
             ),
-            LocalStore::Guided(propagator) => run_chunk_guided(
-                model, shared, gen, lo, hi, propagator, session, &mut cache, &mut draft,
-            ),
+            LocalStore::Guided(propagator) => {
+                run_chunk_guided(model, shared, gen, lo, hi, propagator, session, &mut draft)
+            }
         };
 
         gen.bank(&draft);
@@ -1341,8 +1342,7 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
     hi: u64,
     table: &mut PatternTable,
     scratch: &mut Vec<u64>,
-    session: &mut Option<CheckSession<'m, M>>,
-    cache: &mut NameCache,
+    session: &mut CheckSession<'m, M>,
     draft: &mut ChunkDraft,
 ) -> bool {
     let opts = shared.options;
@@ -1385,12 +1385,10 @@ fn run_chunk_lex<'m, M: TransitionSystem>(
         }
 
         evaluate_candidate(
-            model,
             shared,
             gen,
             digits.to_vec(),
-            session,
-            cache,
+            next_session(model, shared, session),
             table,
             draft,
         );
@@ -1415,8 +1413,7 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
     lo: u64,
     hi: u64,
     propagator: &mut Propagator,
-    session: &mut Option<CheckSession<'m, M>>,
-    cache: &mut NameCache,
+    session: &mut CheckSession<'m, M>,
     draft: &mut ChunkDraft,
 ) -> bool {
     // The walk stays warm across chunk boundaries: with 32-candidate
@@ -1448,12 +1445,10 @@ fn run_chunk_guided<'m, M: TransitionSystem>(
         }
         let digits = od.current().expect("candidate checked above").to_vec();
         evaluate_candidate(
-            model,
             shared,
             gen,
             digits,
-            session,
-            cache,
+            next_session(model, shared, session),
             od.propagator_mut(),
             draft,
         );
@@ -1475,17 +1470,14 @@ fn flush_idle(shared: &Shared<'_>, idle: &mut Option<ChunkDraft>) {
     }
 }
 
-/// Dispatches one candidate to the model checker and files the result —
-/// into the shared run state immediately, and into the chunk `draft` for
-/// the journal.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site
-fn evaluate_candidate<'m, M: TransitionSystem>(
-    model: &'m M,
+/// Dispatches one candidate to `session` and files the result — into the
+/// shared run state immediately, and into the chunk `draft` for the
+/// journal.
+fn evaluate_candidate<M: TransitionSystem>(
     shared: &Shared<'_>,
     gen: &GenShared,
     digits: Vec<u16>,
-    session: &mut Option<CheckSession<'m, M>>,
-    cache: &mut NameCache,
+    session: &mut CheckSession<'_, M>,
     local_patterns: &mut dyn PatternSink,
     draft: &mut ChunkDraft,
 ) {
@@ -1497,55 +1489,35 @@ fn evaluate_candidate<'m, M: TransitionSystem>(
         DiscoveryDefault::ActionZero
     };
 
-    // Session dispatch resumes from the deepest checkpoint whose hole
-    // resolutions this candidate leaves unchanged; one-shot dispatch
-    // restarts from the initial states. Name → id caches are long-lived on
-    // both serial paths: the session banks its workers' caches and re-seeds
-    // them across `check` calls, the serial one-shot path reuses the
-    // synthesis worker's own. The thread-shareable resolver's touched set
-    // is hole-id-sorted so downstream consumers see thread-count-
-    // independent data. In every case the verdict and failure attribution
-    // are identical.
-    let (outcome, touched) = if let Some(session) = session.as_mut() {
-        let (before_expanded, before_reused) = {
-            let s = session.stats();
-            (s.states_expanded, s.states_reused)
-        };
-        let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
-        let outcome = session.check(&resolver);
-        // Bank the session's reuse counters per candidate (a panicked check
-        // resets the session, discarding its partial work — saturate).
-        let after = session.stats();
-        let expanded = after.states_expanded.saturating_sub(before_expanded);
-        let reused = after.states_reused.saturating_sub(before_reused);
-        shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
-        shared.check_reused.fetch_add(reused, Ordering::Relaxed);
-        draft.expanded += expanded;
-        draft.reused += reused;
-        // The run's touched set is the union of live consultations and the
-        // consultations of the checkpoint-reused layers (which a fresh run
-        // would have made itself); both are id-sorted, answers agree by the
-        // checkpoint validity rule.
-        let mut touched = resolver.into_touched();
-        touched.extend(session.reused_touches());
-        touched.sort_unstable();
-        touched.dedup_by_key(|pair| pair.0);
-        (outcome, touched)
-    } else if shared.options.check_threads > 1 {
-        let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
-        let outcome = shared.checker.run_shared(model, &resolver);
-        let expanded = outcome.stats().states_visited as u64;
-        shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
-        draft.expanded += expanded;
-        (outcome, resolver.into_touched())
-    } else {
-        let mut resolver = CandidateResolver::new(shared.registry, &digits, default, cache);
-        let outcome = shared.checker.run_with(model, &mut resolver);
-        let expanded = outcome.stats().states_visited as u64;
-        shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
-        draft.expanded += expanded;
-        (outcome, resolver.into_touched())
+    // The session resumes from the deepest checkpoint whose hole
+    // resolutions this candidate leaves unchanged (a fresh session starts
+    // from the initial states), checking serially or in parallel as its
+    // options say; the verdict and failure attribution are the same in
+    // every case.
+    let (before_expanded, before_reused) = {
+        let s = session.stats();
+        (s.states_expanded, s.states_reused)
     };
+    let resolver = SharedCandidateResolver::new(shared.registry, &digits, default);
+    let outcome = session.check(&resolver);
+    // Bank the session's reuse counters per candidate (a panicked check
+    // resets the session, discarding its partial work — saturate).
+    let after = session.stats();
+    let expanded = after.states_expanded.saturating_sub(before_expanded);
+    let reused = after.states_reused.saturating_sub(before_reused);
+    shared.check_expanded.fetch_add(expanded, Ordering::Relaxed);
+    shared.check_reused.fetch_add(reused, Ordering::Relaxed);
+    draft.expanded += expanded;
+    draft.reused += reused;
+    // The run's touched set is the union of live consultations and the
+    // consultations of the checkpoint-reused layers (which a fresh check
+    // would have made itself); both are id-sorted — so downstream consumers
+    // see thread-count-independent data — and answers agree by the
+    // checkpoint validity rule.
+    let mut touched = resolver.into_touched();
+    touched.extend(session.reused_touches());
+    touched.sort_unstable();
+    touched.dedup_by_key(|pair| pair.0);
     let run = shared.run_counter.fetch_add(1, Ordering::Relaxed) + 1;
     draft.evaluated += 1;
 
@@ -1959,8 +1931,8 @@ mod tests {
         // sets, or pattern publications. With a single synthesis worker,
         // the *entire* Figure-2-style run log is therefore bit-identical
         // at any checker thread count — including on failing runs and on
-        // runs clamped by `max_states` (verdict `Unknown`), on both the
-        // session and one-shot dispatch paths.
+        // runs clamped by `max_states` (verdict `Unknown`), with sessions
+        // kept across candidates and with a fresh session per candidate.
         let fmt = |r: &SynthReport| -> Vec<String> {
             r.run_log()
                 .iter()

@@ -8,17 +8,19 @@
 //! the tight coupling the paper argues for over external-tool pipelines
 //! (§I–II).
 //!
-//! Two exploration drivers share one committed-state core (`SearchCore`):
+//! There is one production exploration engine, [`CheckSession`]
+//! (`session`): a layer-synchronized BFS that expands each frontier layer
+//! either serially or — with [`CheckerOptions::threads`] `> 1` — across a
+//! persistent worker pool against a lock-free claim table (`parallel`),
+//! then *replays* the recorded layer deterministically so that verdicts,
+//! statistics, and counterexample traces are *identical* for any thread
+//! count. [`Checker::run`] and [`Checker::run_shared`] are one-check
+//! session wrappers; [`Checker::session`] keeps a session across checks.
 //!
-//! * the **serial** driver (this module) — a queue-driven BFS; and
-//! * the **parallel** driver (`parallel`) — a layer-synchronized BFS that
-//!   expands, canonicalizes, fingerprints, and invariant-checks each
-//!   frontier layer across a persistent worker pool against a lock-free
-//!   claim table, then *replays* the recorded layer deterministically so
-//!   that verdicts, statistics, and counterexample traces are *identical*
-//!   to the serial driver's, for any thread count.
-//!
-//! Select the parallel driver with [`CheckerOptions::threads`].
+//! [`Checker::run_with`] runs the **reference** serial driver instead: an
+//! independent queue-driven BFS over the same committed-state core
+//! (`SearchCore`), kept as the oracle the equivalence suites diff sessions
+//! against.
 
 mod graph;
 mod outcome;
@@ -101,10 +103,10 @@ impl CheckerOptions {
     /// make the committed store exceed the cap is *refused* and exploration
     /// stops there, so `Stats::states_visited ≤ max_states` always holds and
     /// a refused state is never inspected (its invariants are not checked —
-    /// the verdict is `Unknown` regardless). The parallel driver
+    /// the verdict is `Unknown` regardless). The parallel layer expansion
     /// ([`CheckerOptions::threads`]) enforces the cap at the same
     /// deterministic replay point, so committed counts and statistics remain
-    /// identical to the serial driver's at any thread count; it may still
+    /// identical to a serial check's at any thread count; it may still
     /// *transiently* hold up to one expanded layer of parked candidate
     /// successors in memory before the replay clamps them.
     pub fn max_states(mut self, limit: usize) -> Self {
@@ -133,14 +135,14 @@ impl CheckerOptions {
     }
 
     /// Number of worker threads expanding each BFS layer (default 1: the
-    /// serial driver).
+    /// session's serial path).
     ///
     /// Any thread count produces the same verdict, statistics, and
-    /// counterexample depth — the parallel driver is layer-synchronized and
-    /// commits each layer in the serial driver's deterministic order (see
-    /// `parallel`). Only [`Checker::run`] and [`Checker::run_shared`] honor
-    /// this knob; [`Checker::run_with`] takes an exclusive resolver and is
-    /// always serial.
+    /// counterexample depth — the parallel layer expansion is
+    /// layer-synchronized and commits each layer in the serial order (see
+    /// `parallel`). [`Checker::run`], [`Checker::run_shared`], and
+    /// [`Checker::session`] honor this knob; [`Checker::run_with`] runs the
+    /// reference serial driver and ignores it.
     ///
     /// By default the requested count is clamped to the machine's available
     /// parallelism (see [`CheckerOptions::clamp_threads`]): asking for 8
@@ -260,7 +262,7 @@ impl CheckerOptions {
 /// The breadth-first explicit-state model checker.
 ///
 /// See the [crate-level example](crate) for basic use; see
-/// [`Checker::run_with`] for checking models that contain synthesis holes.
+/// [`Checker::run_shared`] for checking models that contain synthesis holes.
 #[derive(Debug, Clone, Default)]
 pub struct Checker {
     options: CheckerOptions,
@@ -275,23 +277,19 @@ impl Checker {
     /// Verifies a complete (hole-free) model, honoring
     /// [`CheckerOptions::threads`].
     ///
-    /// This is a thin one-shot wrapper over [`Checker::session`]: it opens
-    /// a session, runs one check, and drops the session. Callers verifying
-    /// many related candidates should hold the session themselves and call
+    /// This is [`Checker::run_shared`] with the [`NoHoles`] resolver: a
+    /// one-check session. Callers verifying many related candidates should
+    /// hold a [`Checker::session`] themselves and call
     /// [`CheckSession::check`] repeatedly to reuse the shared exploration
     /// prefix.
     ///
     /// A model that consults a hole is a usage error: the [`NoHoles`]
     /// resolver panics, the panic-isolation layer catches it, and the run
     /// reports [`Verdict::Unknown`] with [`MckError::CandidatePanicked`].
-    /// Use [`Checker::run_with`] (or [`Checker::run_shared`] for parallel
-    /// runs) with an appropriate resolver for models containing holes.
+    /// Use [`Checker::run_shared`] with an appropriate resolver for models
+    /// containing holes.
     pub fn run<M: TransitionSystem>(&self, model: &M) -> Outcome<M::State> {
-        let mut session = self.session(model);
-        // The session dies right after this one check, so a kept graph can
-        // be moved out of the store instead of cloned.
-        session.detach_graph_on_finish();
-        session.check(&NoHoles)
+        self.run_shared(model, &NoHoles)
     }
 
     /// Opens a long-lived [`CheckSession`] on `model`: a reusable checker
@@ -304,21 +302,23 @@ impl Checker {
     /// check resume from the deepest shared BFS checkpoint instead of from
     /// the initial states, while remaining observationally identical —
     /// verdict, statistics, failure attribution, counterexample trace — to
-    /// a fresh one-shot run of the same candidate.
+    /// a check of the same candidate on a fresh session.
     pub fn session<'a, M: TransitionSystem>(&self, model: &'a M) -> CheckSession<'a, M> {
         CheckSession::new(model, self.options.clone())
     }
 
-    /// Verifies a model, resolving holes through `resolver`.
+    /// Verifies a model with the **reference** serial driver, resolving
+    /// holes through `resolver`.
+    ///
+    /// This driver is a queue-driven BFS independent of the session engine
+    /// every other entry point uses; it exists as the oracle the
+    /// equivalence suites diff sessions against, and production code
+    /// should call [`Checker::run_shared`] instead. It always runs
+    /// serially, whatever [`CheckerOptions::threads`] says.
     ///
     /// Wildcard resolutions abort their branch and (absent a failure) demote
     /// the verdict to [`Verdict::Unknown`]; see the crate docs for the full
     /// soundness argument.
-    ///
-    /// An exclusive (`&mut`) resolver cannot be shared across workers, so
-    /// this entry point always runs the serial driver regardless of
-    /// [`CheckerOptions::threads`]; use [`Checker::run_shared`] to check in
-    /// parallel.
     ///
     /// A panic in user protocol code (a rule, an invariant, or the resolver
     /// itself) is caught here and reported as a [`Verdict::Unknown`] outcome
@@ -336,26 +336,27 @@ impl Checker {
     /// Verifies a model through a thread-shareable resolution strategy,
     /// honoring [`CheckerOptions::threads`].
     ///
-    /// With `threads(1)` (the default) this is exactly [`Checker::run_with`]
-    /// over one worker resolver; with more threads the layer-synchronized
-    /// parallel driver is used, which returns bit-identical outcomes (see
-    /// `parallel`).
+    /// A thin wrapper over [`Checker::session`]: it opens a session, runs
+    /// one check from the initial states, and drops the session. Any thread
+    /// count returns an outcome bit-identical to the reference serial
+    /// driver ([`Checker::run_with`] over one [`SharedResolver::worker`]).
     ///
-    /// Panics in user protocol code are isolated exactly as in
-    /// [`Checker::run_with`] — including panics raised inside pool workers,
-    /// which the pool collects and re-raises on this thread after the batch.
+    /// Panics in user protocol code are isolated as in
+    /// [`CheckSession::check`] — including panics raised inside pool
+    /// workers, which the pool collects and re-raises on this thread after
+    /// the batch — and so are panics while the session computes the
+    /// model's initial states.
     pub fn run_shared<M: TransitionSystem>(
         &self,
         model: &M,
         resolver: &dyn SharedResolver,
     ) -> Outcome<M::State> {
         isolate_candidate(model.name(), || {
-            if self.options.effective_threads() > 1 {
-                parallel::ParallelBfs::new(model, &self.options, resolver).explore()
-            } else {
-                let mut worker = resolver.worker();
-                Bfs::new(model, &self.options, &mut *worker).explore()
-            }
+            let mut session = self.session(model);
+            // The session dies right after this one check, so a kept graph
+            // can be moved out of the store instead of cloned.
+            session.detach_graph_on_finish();
+            session.check_fresh(resolver)
         })
     }
 }
@@ -366,9 +367,9 @@ impl Checker {
 ///
 /// `AssertUnwindSafe` is sound here because everything the closure could
 /// have left in a broken state is owned by the closure and dropped with it
-/// (one-shot drivers build their entire search state inside the call);
-/// long-lived state is handled by [`CheckSession::check`], which resets the
-/// session on the same catch.
+/// (the reference driver and one-check sessions build their entire search
+/// state inside the call); long-lived state is handled by
+/// [`CheckSession::check`], which resets the session on the same catch.
 pub(crate) fn isolate_candidate<S>(model: &str, f: impl FnOnce() -> Outcome<S>) -> Outcome<S> {
     let start = Instant::now();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
@@ -454,7 +455,7 @@ pub(super) fn remove_id(map: &mut FnvHashMap<u64, IdList>, hash: u64, id: StateI
     }
 }
 
-/// Fingerprint-indexed visited set for the serial driver.
+/// Fingerprint-indexed visited set for the reference serial driver.
 #[derive(Debug, Default)]
 struct VisitedIndex {
     map: FnvHashMap<u64, IdList>,
@@ -482,18 +483,20 @@ impl VisitedIndex {
 /// the common hole-free edge.
 type TouchRecord = Option<Box<[(usize, u16)]>>;
 
-/// The committed exploration state shared by the serial and parallel
-/// drivers: everything keyed by [`StateId`], plus the post-exploration
-/// property analysis. Drivers differ only in how they *discover and order*
-/// states; once a state is committed here the bookkeeping is identical,
-/// which is what makes the two drivers' outcomes comparable field by field.
+/// The committed exploration state shared by the session engine and the
+/// reference driver: everything keyed by [`StateId`], plus the
+/// post-exploration property analysis. They differ only in how they
+/// *discover and order* states; once a state is committed here the
+/// bookkeeping is identical, which is what makes their outcomes comparable
+/// field by field.
 pub(super) struct SearchCore<'a, M: TransitionSystem> {
     pub(super) model: &'a M,
     pub(super) options: CheckerOptions,
     /// Whether [`SearchCore::finish`] may *move* the committed store into a
-    /// requested graph instead of cloning it. One-shot drivers (which drop
-    /// the core right after) keep the default `true`; a [`CheckSession`]
-    /// clears it because its store must survive into the next check.
+    /// requested graph instead of cloning it. The reference driver and
+    /// one-check sessions (which drop the core right after) keep `true`; a
+    /// long-lived [`CheckSession`] clears it because its store must survive
+    /// into the next check.
     pub(super) detach_graph: bool,
 
     pub(super) states: Vec<M::State>,
@@ -708,8 +711,8 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
     /// Packages the run's result. Non-consuming, so a [`CheckSession`] can
     /// keep the core alive across checks: a requested graph is *moved* out
     /// of the committed store when the driver is about to drop the core
-    /// ([`SearchCore::detach_graph`], the one-shot default) and cloned only
-    /// for sessions, whose store must survive into the next check.
+    /// ([`SearchCore::detach_graph`]) and cloned only for long-lived
+    /// sessions, whose store must survive into the next check.
     pub(super) fn finish(
         &mut self,
         start: Instant,
@@ -749,7 +752,8 @@ impl<'a, M: TransitionSystem> SearchCore<'a, M> {
     }
 }
 
-/// Serial exploration driver; one instance per run.
+/// The reference serial exploration driver behind [`Checker::run_with`];
+/// one instance per run.
 struct Bfs<'a, M: TransitionSystem> {
     core: SearchCore<'a, M>,
     resolver: &'a mut dyn HoleResolver,
@@ -923,17 +927,19 @@ fn rule_names<M: TransitionSystem>(model: &M) -> Vec<String> {
 pub(super) mod tests_support {
     use super::*;
 
-    /// Runs `model` serially and with `threads` workers and asserts the
-    /// outcomes are indistinguishable: verdict, full `Stats`, and failure
-    /// details (kind, property, touched set, and the whole trace).
+    /// Runs `model` on the reference serial driver and with `threads`
+    /// workers and asserts the outcomes are indistinguishable: verdict,
+    /// full `Stats`, and failure details (kind, property, touched set, and
+    /// the whole trace).
     pub(crate) fn assert_equivalent<M: TransitionSystem>(
         model: &M,
         resolver: &dyn SharedResolver,
         threads: usize,
     ) {
-        // Clamping disabled so the parallel driver is exercised for real
+        // Clamping disabled so the parallel path is exercised for real
         // even when the test host has fewer cores than `threads`.
-        let serial = Checker::new(CheckerOptions::default()).run_shared(model, resolver);
+        let serial =
+            Checker::new(CheckerOptions::default()).run_with(model, &mut *resolver.worker());
         let par = Checker::new(
             CheckerOptions::default()
                 .threads(threads)

@@ -1,4 +1,6 @@
-//! The layer-synchronized parallel BFS engine (commit-replay architecture).
+//! The layer-synchronized parallel layer expansion (commit-replay
+//! architecture) of the [`super::CheckSession`] engine, used for
+//! [`CheckerOptions::threads`] `> 1`.
 //!
 //! Parallel explicit-state exploration usually trades determinism for speed:
 //! work-stealing frontiers visit states in racy orders, so two runs (or a
@@ -62,8 +64,9 @@
 //! (`tests/checker_parallel_equivalence.rs`): for every model and resolver,
 //! every thread count returns the **same verdict, the same `Stats` (state,
 //! transition, depth, and queue counters), and the same counterexample
-//! trace** as the serial driver — and, for sessions, the same per-layer
-//! hole-touch logs.
+//! trace** as the serial driver — the session's serial path and the
+//! reference driver behind [`super::Checker::run_with`] — and the same
+//! per-layer hole-touch logs as the session's serial path.
 //!
 //! One deliberate, documented divergence remains outside that invariant:
 //! expansion may run (most of) a layer even when the replay will stop at a
@@ -422,9 +425,9 @@ fn invariant_name<M: TransitionSystem>(model: &M, property: usize) -> &str {
 
 /// The shared parallel exploration engine: the committed-state index, the
 /// per-layer claim table, the persistent worker pool, the chunk auto-tuner,
-/// and the deterministic replay. One instance serves a whole run — the
-/// one-shot [`ParallelBfs`] driver and [`super::CheckSession`] both drive
-/// their layers through it.
+/// and the deterministic replay. Each [`super::CheckSession`] owns one and
+/// drives its parallel layers through it; the serial path uses only the
+/// committed index and the name-cache bank.
 pub(super) struct Engine<S> {
     /// Fingerprint → committed ids. Read lock-free by expansion workers
     /// (committed entries never change mid-layer); mutated only by the
@@ -746,8 +749,8 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     /// the state cap at the same sequence points as a serial run. `Err`
     /// carries the outcome that ended the run inside this layer.
     ///
-    /// `log`, when present, collects the layer's hole-touch entries
-    /// (unsorted; sessions sort and seal them). Whatever the exit, the
+    /// `log` collects the layer's hole-touch entries (unsorted; the session
+    /// sorts and seals them). Whatever the exit, the
     /// concrete resolutions the replay consumed are reported through
     /// [`SharedResolver::note_replayed_touches`] — the replay-confirmed
     /// touched set, identical to what a serial run would have recorded.
@@ -758,15 +761,14 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
-        mut log: Option<&mut Vec<LayerTouch>>,
+        log: &mut Vec<LayerTouch>,
     ) -> Result<(), Box<Outcome<M::State>>>
     where
         M: TransitionSystem<State = S>,
         R: SharedResolver + ?Sized,
     {
         let mut replayed: Vec<(usize, u16)> = Vec::new();
-        let result =
-            self.replay_records(core, resolver, start, f0, chunks, &mut log, &mut replayed);
+        let result = self.replay_records(core, resolver, start, f0, chunks, log, &mut replayed);
         replayed.sort_unstable();
         replayed.dedup();
         resolver.note_replayed_touches(&replayed);
@@ -781,7 +783,7 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
         start: Instant,
         f0: usize,
         chunks: Vec<ChunkOut>,
-        log: &mut Option<&mut Vec<LayerTouch>>,
+        log: &mut Vec<LayerTouch>,
         replayed: &mut Vec<(usize, u16)>,
     ) -> Result<(), Box<Outcome<M::State>>>
     where
@@ -827,34 +829,22 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
 
                 for app in rec.records {
                     for &(hole, action) in app.touches.iter() {
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push((hole, Some(action)));
-                        }
+                        log.push((hole, Some(action)));
                         replayed.push((hole, action));
                     }
                     for &wildcard in app.wildcards.iter() {
-                        match wildcard {
-                            WildcardTouch::Known(hole) => {
-                                if let Some(log) = log.as_deref_mut() {
-                                    log.push((hole, None));
-                                }
-                            }
-                            WildcardTouch::Fresh(index) => {
-                                let id = committed_id(index);
-                                if let Some(log) = log.as_deref_mut() {
-                                    log.push((id, None));
-                                }
-                            }
-                        }
+                        let hole = match wildcard {
+                            WildcardTouch::Known(hole) => hole,
+                            WildcardTouch::Fresh(index) => committed_id(index),
+                        };
+                        log.push((hole, None));
                     }
                     for &(index, action) in app.fresh.iter() {
                         // A deferred sighting answered concretely (naïve
                         // mode): the commit assigns the id, and the
                         // consultation is a replay-confirmed touch.
                         let id = committed_id(index);
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push((id, Some(action)));
-                        }
+                        log.push((id, Some(action)));
                         replayed.push((id, action));
                     }
                     expansion_touches.extend_from_slice(&app.touches);
@@ -971,90 +961,6 @@ impl<S: Clone + Eq + Hash + Send + Sync> Engine<S> {
     }
 }
 
-/// One-shot layer-synchronized parallel exploration driver.
-pub(super) struct ParallelBfs<'a, M: TransitionSystem> {
-    core: SearchCore<'a, M>,
-    resolver: &'a dyn SharedResolver,
-    engine: Engine<M::State>,
-}
-
-impl<'a, M: TransitionSystem> ParallelBfs<'a, M> {
-    pub(super) fn new(
-        model: &'a M,
-        options: &'a CheckerOptions,
-        resolver: &'a dyn SharedResolver,
-    ) -> Self {
-        let engine = Engine::new(options);
-        ParallelBfs {
-            core: SearchCore::new(model, options.clone()),
-            resolver,
-            engine,
-        }
-    }
-
-    pub(super) fn explore(mut self) -> Outcome<M::State> {
-        let start = Instant::now();
-
-        let initial = self.core.model.initial_states();
-        if initial.is_empty() {
-            return self.core.finish(
-                start,
-                Verdict::Unknown,
-                None,
-                Some(MckError::NoInitialStates),
-            );
-        }
-        let state_limit = MckError::StateLimitExceeded {
-            limit: self.core.options.max_states,
-        };
-        for s0 in initial {
-            let s0 = self.core.model.canonicalize(s0);
-            let hash = fingerprint(&s0);
-            if self
-                .engine
-                .find_committed(hash, &s0, &self.core.states)
-                .is_some()
-            {
-                continue;
-            }
-            if self.core.states.len() >= self.core.options.max_states {
-                return self.core.analyze(start, Some(state_limit));
-            }
-            let id = self.core.commit(s0, None, &[]);
-            self.engine.insert_committed(hash, id);
-            if let Some(name) = self.core.violated_invariant(id) {
-                let failure = Failure {
-                    kind: FailureKind::InvariantViolation,
-                    property: name.to_owned(),
-                    trace: Some(self.core.trace_to(id)),
-                    touched: Some(Vec::new()),
-                };
-                return self
-                    .core
-                    .finish(start, Verdict::Failure, Some(failure), None);
-            }
-        }
-
-        // The committed store is layer-contiguous, so the frontier is just
-        // a range: each replay appends layer `d+1` right after layer `d`.
-        let mut f0 = 0usize;
-        loop {
-            let f1 = self.core.states.len();
-            if f0 == f1 {
-                return self.core.analyze(start, None);
-            }
-            let chunks = self.engine.expand_layer(&self.core, self.resolver, f0, f1);
-            match self
-                .engine
-                .replay_layer(&mut self.core, self.resolver, start, f0, chunks, None)
-            {
-                Ok(()) => f0 = f1,
-                Err(outcome) => return *outcome,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tests_support::assert_equivalent;
@@ -1087,13 +993,14 @@ mod tests {
         b.finish()
     }
 
-    /// Serial vs. parallel under explicit options, field by field.
+    /// Reference serial driver vs. parallel under explicit options, field
+    /// by field.
     fn assert_options_equivalent<M: TransitionSystem>(
         model: &M,
         resolver: &dyn SharedResolver,
         options: CheckerOptions,
     ) {
-        let serial = Checker::new(options.clone().threads(1)).run_shared(model, resolver);
+        let serial = Checker::new(options.clone()).run_with(model, &mut *resolver.worker());
         let par = Checker::new(options).run_shared(model, resolver);
         assert_eq!(serial.verdict(), par.verdict(), "verdict diverged");
         assert_eq!(serial.stats(), par.stats(), "stats diverged");

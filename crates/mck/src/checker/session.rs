@@ -1,11 +1,21 @@
-//! Long-lived check sessions with incremental prefix re-verification.
+//! Check sessions: the checker's one exploration engine, with incremental
+//! prefix re-verification.
 //!
-//! The synthesis loop dispatches thousands of candidate evaluations against
-//! *one* model, and consecutive candidates usually differ only in
-//! late-firing holes: everything the checker would explore before the first
-//! rule application that consults a changed hole is identical between them.
-//! A one-shot [`Checker::run`] rebuilds that shared prefix from scratch on
-//! every dispatch; a [`CheckSession`] keeps it.
+//! Every production check runs here. [`Checker::run`] and
+//! [`Checker::run_shared`] open a session, check once, and drop it; the
+//! synthesis loop holds a session per worker and checks thousands of
+//! candidates of *one* model through it. Consecutive candidates usually
+//! differ only in late-firing holes: everything the checker would explore
+//! before the first rule application that consults a changed hole is
+//! identical between them. A check from scratch rebuilds that shared
+//! prefix; a [`CheckSession`] kept across checks keeps it.
+//!
+//! A session expands each BFS layer in one of two ways: serially, in the
+//! order of a queue-driven BFS, or — for [`CheckerOptions::threads`] `> 1`
+//! — through the layer-synchronized parallel engine ([`super::parallel`]).
+//! Both paths share the committed-state core, the visited index, the
+//! initial-state commit (`CheckSession::commit_initial`), and the
+//! checkpoint bookkeeping below.
 //!
 //! ## How reuse works
 //!
@@ -32,19 +42,18 @@
 //!
 //! ## Equivalence contract
 //!
-//! Every `check` is observationally identical to a fresh one-shot run of
-//! the same model and resolver: verdict, the full [`Stats`], failure kind /
+//! Every `check` is observationally identical to a check of the same model
+//! and resolver on a fresh session, and to the reference serial driver
+//! behind [`Checker::run_with`]: verdict, the full [`Stats`], failure kind /
 //! property / touched attribution, the counterexample trace, and the kept
 //! graph all match bit for bit, at any [`CheckerOptions::threads`] count.
-//! The serial path replays the one-shot serial driver's exact commit and
-//! stop order (including mid-layer fail-fast); the parallel path drives its
-//! layers through the shared [`super::parallel`] engine — the same
-//! expand-then-replay discipline, persistent worker pool, claim table, and
-//! chunk auto-tuner as the one-shot parallel driver — and derives the
+//! The serial path replays the reference driver's exact commit and stop
+//! order (including mid-layer fail-fast); the parallel path uses the
+//! expand-then-replay discipline of [`super::parallel`] and derives the
 //! per-layer hole-touch logs from the *replayed* records, so consultations
 //! of applications the replay discards (past a failure or the state cap)
 //! never pollute a checkpoint log. The equivalence is enforced by
-//! `tests/session_equivalence.rs`.
+//! `tests/session_equivalence.rs` and `tests/checker_parallel_equivalence.rs`.
 
 use super::parallel::{Engine, LayerTouch};
 use super::{
@@ -52,7 +61,7 @@ use super::{
     StateId, Stats, Verdict,
 };
 use crate::error::MckError;
-use crate::eval::{HoleResolver, SessionResolver, WildcardTouch};
+use crate::eval::{HoleResolver, SessionResolver, SharedResolver, WildcardTouch};
 use crate::model::TransitionSystem;
 use crate::rule::RuleOutcome;
 use std::time::Instant;
@@ -119,7 +128,7 @@ enum LayerResult<S> {
 /// Created by [`Checker::session`]. Checks resume from the deepest BFS
 /// checkpoint whose recorded hole resolutions the new resolver answers
 /// identically, and every check stays observationally identical to a
-/// fresh one-shot run of the same candidate.
+/// check of the same candidate on a fresh session.
 pub struct CheckSession<'a, M: TransitionSystem> {
     core: SearchCore<'a, M>,
     /// The shared exploration engine: visited set, committed fingerprints,
@@ -180,7 +189,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     }
 
     /// Restores move-out graph semantics for a session about to be dropped
-    /// after one check ([`Checker::run`]'s one-shot wrapper): the final
+    /// after one check ([`Checker::run_shared`]'s one-check wrapper): the final
     /// outcome's graph is taken from the store instead of cloned. The
     /// session must not be checked again afterwards when a graph was kept —
     /// its store is gone.
@@ -246,7 +255,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// check's exploration as the resolver's answers allow.
     ///
     /// The outcome is bit-identical (verdict, statistics, failure
-    /// attribution, trace, graph) to a fresh one-shot run of the same
+    /// attribution, trace, graph) to a fresh session's check of the same
     /// candidate — reuse is invisible except in wall-clock time and
     /// [`CheckSession::stats`].
     ///
@@ -255,16 +264,34 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
     /// [`MckError::CandidatePanicked`]. Because the panic may interrupt the
     /// search mid-layer, the session discards its store and checkpoints —
     /// the next check re-explores from the initial states (bit-identical to
-    /// a fresh session by the one-shot equivalence contract), and the
-    /// worker pool, claim table, and session itself remain fully usable.
+    /// a fresh session by the reuse equivalence contract), and the worker
+    /// pool, claim table, and session itself remain fully usable.
     pub fn check(&mut self, resolver: &dyn SessionResolver) -> Outcome<M::State> {
+        self.check_isolated(resolver, |session| session.resume_depth(resolver))
+    }
+
+    /// A check that never resumes: explores from the initial states under a
+    /// resolver that need not answer [`SessionResolver::assignment`] — what
+    /// [`Checker::run_shared`] runs on its one-check session.
+    pub(super) fn check_fresh(&mut self, resolver: &dyn SharedResolver) -> Outcome<M::State> {
+        self.check_isolated(resolver, |_| None)
+    }
+
+    /// Runs one check from the checkpoint `resume` picks (`None`: from
+    /// scratch) with panic isolation.
+    fn check_isolated<R: SharedResolver + ?Sized>(
+        &mut self,
+        resolver: &R,
+        resume: impl FnOnce(&Self) -> Option<usize>,
+    ) -> Outcome<M::State> {
         let start = Instant::now();
         // AssertUnwindSafe: on panic every structure the interrupted check
         // could have left inconsistent (store, visited index, checkpoint
         // logs, engine claim table) is wiped by `reset` below before the
         // session can be observed again.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.check_inner(start, resolver)
+            let depth = resume(self);
+            self.check_inner(start, depth, resolver)
         }));
         match caught {
             Ok(outcome) => outcome,
@@ -279,8 +306,14 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         }
     }
 
-    /// The panic-unsafe body of [`CheckSession::check`].
-    fn check_inner(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
+    /// The panic-unsafe body of a check resuming from `checkpoints[depth]`
+    /// (`None`: from the initial states).
+    fn check_inner<R: SharedResolver + ?Sized>(
+        &mut self,
+        start: Instant,
+        resume: Option<usize>,
+        resolver: &R,
+    ) -> Outcome<M::State> {
         self.stats.checks += 1;
 
         if self.initial.is_empty() {
@@ -294,7 +327,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         }
 
         self.last_resume = 0;
-        let reused = match self.resume_depth(resolver) {
+        let reused = match resume {
             None => {
                 // First check (or the initial phase never completed): start
                 // from scratch, from the cached canonical initial states.
@@ -399,9 +432,10 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         });
     }
 
-    /// Commits the cached canonical initial states, mirroring the one-shot
-    /// drivers' pre-layer phase (admission clamp and initial invariant
-    /// checks included). `Some(outcome)` ends the check here.
+    /// Commits the cached canonical initial states — the pre-layer phase of
+    /// every check, serial or parallel, with the same admission clamp and
+    /// initial invariant checks as the reference driver. `Some(outcome)`
+    /// ends the check here.
     fn commit_initial(&mut self, start: Instant) -> Option<Outcome<M::State>> {
         let state_limit = MckError::StateLimitExceeded {
             limit: self.core.options.max_states,
@@ -439,7 +473,11 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
 
     /// Drives layers from the current frontier to an outcome, sealing a
     /// checkpoint after every fully-expanded layer.
-    fn explore(&mut self, start: Instant, resolver: &dyn SessionResolver) -> Outcome<M::State> {
+    fn explore<R: SharedResolver + ?Sized>(
+        &mut self,
+        start: Instant,
+        resolver: &R,
+    ) -> Outcome<M::State> {
         if self.threads > 1 {
             loop {
                 let result = self.run_layer_parallel(start, resolver);
@@ -450,7 +488,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             }
         } else {
             // One worker resolver for the whole check, exactly like the
-            // one-shot serial driver — seeded with the previous check's
+            // reference serial driver — seeded with the previous check's
             // name cache and drained back when the check ends.
             let mut worker = resolver.worker_seeded(self.engine.pop_name_cache());
             let outcome = loop {
@@ -477,13 +515,13 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         self.push_checkpoint(frontier_end);
     }
 
-    /// Expands the frontier layer in place, in the one-shot serial driver's
+    /// Expands the frontier layer in place, in the reference serial driver's
     /// exact order — including its mid-layer fail-fast behaviour — while
     /// recording the layer's hole-touch log.
-    fn run_layer_serial(
+    fn run_layer_serial<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
-        resolver: &dyn SessionResolver,
+        resolver: &R,
         worker: &mut dyn HoleResolver,
     ) -> LayerResult<M::State> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
@@ -542,7 +580,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
                             None => {
                                 if self.core.states.len() >= self.core.options.max_states {
                                     // Same admission clamp, same sequence
-                                    // point, as the one-shot drivers.
+                                    // point, as the reference driver.
                                     return LayerResult::Finished(Box::new(
                                         self.core.analyze(start, Some(state_limit)),
                                     ));
@@ -617,15 +655,14 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
         LayerResult::Done(touches_log)
     }
 
-    /// Expands the frontier layer through the shared parallel engine, then
-    /// replays the records deterministically — the identical discipline to
-    /// the one-shot parallel driver, with the layer's hole-touch log
-    /// derived from the *replayed* records (discarded consultations never
-    /// reach a checkpoint log).
-    fn run_layer_parallel(
+    /// Expands the frontier layer through the parallel engine, then replays
+    /// the records deterministically in the serial path's order, with the
+    /// layer's hole-touch log derived from the *replayed* records
+    /// (discarded consultations never reach a checkpoint log).
+    fn run_layer_parallel<R: SharedResolver + ?Sized>(
         &mut self,
         start: Instant,
-        resolver: &dyn SessionResolver,
+        resolver: &R,
     ) -> LayerResult<M::State> {
         let checkpoint = self.checkpoints.last().expect("explore without checkpoint");
         let (f0, f1) = (checkpoint.frontier_start, checkpoint.committed);
@@ -640,7 +677,7 @@ impl<'a, M: TransitionSystem> CheckSession<'a, M> {
             start,
             f0,
             chunks,
-            Some(&mut touches_log),
+            &mut touches_log,
         ) {
             Ok(()) => {
                 touches_log.sort_unstable();

@@ -196,8 +196,8 @@ pub trait HoleResolver {
     /// The wildcard resolutions handed out since the last
     /// [`HoleResolver::begin_application`], for resolvers that track
     /// consultations (see [`WildcardTouch`]). The default — no tracking —
-    /// is correct for hole-free models and for one-shot checking, where
-    /// nothing ever asks which holes went unanswered.
+    /// is correct for hole-free models and for resolvers never used to
+    /// resume a session, where nothing asks which holes went unanswered.
     fn application_wildcards(&self) -> &[WildcardTouch] {
         &[]
     }

@@ -44,9 +44,9 @@ pub type NodeId = u32;
 /// b.error_node(2);
 /// let model = b.finish();
 ///
-/// let mut pick_good = FixedResolver::from_pairs([("direction", 0usize)]);
+/// let pick_good = FixedResolver::from_pairs([("direction", 0usize)]);
 /// let out = Checker::new(CheckerOptions::default().allow_deadlock())
-///     .run_with(&model, &mut pick_good);
+///     .run_shared(&model, &pick_good);
 /// assert_eq!(out.verdict(), Verdict::Success);
 /// ```
 #[derive(Debug)]

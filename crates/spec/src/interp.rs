@@ -3,7 +3,7 @@
 //!
 //! # Compilation
 //!
-//! [`compile`] resolves every name statically — variables and locals to
+//! `compile` resolves every name statically — variables and locals to
 //! slots, record fields to indices, enum variants and library actions to
 //! constants, holes to registry positions — and reports unresolvable or
 //! ill-typed constructs as structured [`InvalidSpec`] errors. After a spec

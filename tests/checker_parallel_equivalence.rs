@@ -18,7 +18,7 @@ use verc3::protocols::vi::{ViConfig, ViModel};
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs `model` at every thread count and asserts all outcomes match the
-/// serial (1-thread) outcome, field by field.
+/// reference serial driver's outcome, field by field.
 fn assert_thread_invariant<M: TransitionSystem>(
     model: &M,
     resolver: &dyn SharedResolver,
@@ -31,8 +31,8 @@ fn assert_thread_invariant<M: TransitionSystem>(
         Checker::new(options.clone().threads(threads).clamp_threads(false))
             .run_shared(model, resolver)
     };
-    let serial = run(THREAD_COUNTS[0]);
-    for &threads in &THREAD_COUNTS[1..] {
+    let serial = Checker::new(options.clone()).run_with(model, &mut *resolver.worker());
+    for &threads in &THREAD_COUNTS {
         let par = run(threads);
         assert_eq!(
             serial.verdict(),
@@ -190,7 +190,8 @@ fn adversarial_interleavings_are_thread_invariant() {
         let model = GraphModel::random(seed, 6, 3);
         let resolver = graph_resolver(&model, seed, seed % 16);
         for threads in [3usize, 16] {
-            let serial = Checker::new(CheckerOptions::default()).run_shared(&model, &resolver);
+            let serial =
+                Checker::new(CheckerOptions::default()).run_with(&model, &mut *resolver.worker());
             let par = Checker::new(
                 stress(CheckerOptions::default())
                     .threads(threads)

@@ -34,7 +34,8 @@ fn golden_resolver(spec: &ProtocolSpec) -> FixedResolver {
 }
 
 /// Every committed spec loads, and verification with the golden assignment
-/// reproduces the committed verdict and counts exactly.
+/// reproduces the committed verdict and counts exactly — on the reference
+/// serial driver and on the parallel session engine alike.
 #[test]
 fn zoo_specs_verify_to_their_goldens() {
     for path in zoo_paths() {
@@ -48,30 +49,53 @@ fn zoo_specs_verify_to_their_goldens() {
         );
 
         let mut resolver = golden_resolver(&spec);
-        let out = Checker::new(CheckerOptions::default()).run_with(&spec.model(), &mut resolver);
-        println!(
-            "{name}: verdict={:?} states={} transitions={}",
-            out.verdict(),
-            out.stats().states_visited,
-            out.stats().transitions
-        );
+        let model = spec.model();
+        // `clamp_threads(false)`: the parallel leg must stay multi-threaded
+        // even on single-core runners.
+        let runs = [
+            (
+                "reference",
+                Checker::new(CheckerOptions::default()).run_with(&model, &mut resolver),
+            ),
+            (
+                "4 threads",
+                Checker::new(CheckerOptions::default().threads(4).clamp_threads(false))
+                    .run_shared(&model, &resolver),
+            ),
+        ];
+        for (driver, out) in runs {
+            println!(
+                "{name} ({driver}): verdict={:?} states={} transitions={}",
+                out.verdict(),
+                out.stats().states_visited,
+                out.stats().transitions
+            );
 
-        let expected = match golden.verdict.as_deref() {
-            Some("Success") => Verdict::Success,
-            Some("Failure") => Verdict::Failure,
-            other => panic!("{name}: unsupported golden verdict {other:?}"),
-        };
-        assert_eq!(
-            out.verdict(),
-            expected,
-            "{name}: verdict ({})",
-            out.failure().map(|f| f.to_string()).unwrap_or_default()
-        );
-        if let Some(states) = golden.states {
-            assert_eq!(out.stats().states_visited, states, "{name}: states");
-        }
-        if let Some(transitions) = golden.transitions {
-            assert_eq!(out.stats().transitions, transitions, "{name}: transitions");
+            let expected = match golden.verdict.as_deref() {
+                Some("Success") => Verdict::Success,
+                Some("Failure") => Verdict::Failure,
+                other => panic!("{name}: unsupported golden verdict {other:?}"),
+            };
+            assert_eq!(
+                out.verdict(),
+                expected,
+                "{name} ({driver}): verdict ({})",
+                out.failure().map(|f| f.to_string()).unwrap_or_default()
+            );
+            if let Some(states) = golden.states {
+                assert_eq!(
+                    out.stats().states_visited,
+                    states,
+                    "{name} ({driver}): states"
+                );
+            }
+            if let Some(transitions) = golden.transitions {
+                assert_eq!(
+                    out.stats().transitions,
+                    transitions,
+                    "{name} ({driver}): transitions"
+                );
+            }
         }
     }
 }
